@@ -10,6 +10,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -43,16 +44,17 @@ func reportSimSpeed(b *testing.B, totalCycles uint64) {
 
 func benchGSMISS(b *testing.B, nISS, nMem, frames int) {
 	b.Helper()
-	benchGSMISSMode(b, nISS, nMem, frames, experiments.Mode{})
+	benchLeg(b, experiments.LegSpec{ISSes: nISS, Memories: nMem, Frames: frames}, experiments.Mode{})
 }
 
-// benchGSMISSMode is benchGSMISS with an explicit kernel mode (the PAR
-// family sweeps worker counts through it).
-func benchGSMISSMode(b *testing.B, nISS, nMem, frames int, m experiments.Mode) {
+// benchLeg runs an ISS leg through the service's runner under an
+// explicit kernel mode (the PAR family sweeps worker counts through it).
+func benchLeg(b *testing.B, leg experiments.LegSpec, m experiments.Mode) {
 	b.Helper()
+	ctx := context.Background()
 	var total uint64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunGSMISS(nISS, nMem, frames, m)
+		r, err := experiments.SimRunner{}.RunMode(ctx, leg, m, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,7 +199,7 @@ func benchPAR(b *testing.B, nISS, nMem int) {
 	b.Helper()
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchGSMISSMode(b, nISS, nMem, 10, experiments.Mode{Workers: w})
+			benchLeg(b, experiments.LegSpec{ISSes: nISS, Memories: nMem, Frames: 10}, experiments.Mode{Workers: w})
 		})
 	}
 }
@@ -212,7 +214,8 @@ func BenchmarkPAR_FourISS_OneMem(b *testing.B)  { benchPAR(b, 4, 1) }
 // the workers=1 → workers=4 gap (CI-gated via benchjson -speedup) is
 // the parallel win on top of it.
 func BenchmarkPAR_PlainISS(b *testing.B) {
-	benchGSMISSMode(b, 4, 4, 10, experiments.Mode{Workers: 1, NoBatch: true, NoDecodeCache: true})
+	benchLeg(b, experiments.LegSpec{ISSes: 4, Memories: 4, Frames: 10},
+		experiments.Mode{Workers: 1, NoBatch: true, NoDecodeCache: true})
 }
 
 // --- E5: degradation curves ------------------------------------------------
@@ -360,33 +363,8 @@ func BenchmarkE8_Reservation(b *testing.B) {
 
 func benchInterconnect(b *testing.B, ic config.InterconnectKind) {
 	b.Helper()
-	var total uint64
-	for i := 0; i < b.N; i++ {
-		sys, err := config.Build(config.SystemConfig{
-			Masters: 4, Memories: 4, MemKind: config.MemWrapper, Interconnect: ic,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var progs [][]byte
-		for j := 0; j < 4; j++ {
-			p, err := isa.Assemble(workload.GSMKernelSource(workload.GSMKernelConfig{
-				Frames: 8, SM: j, Seed: uint32(j + 1),
-			}))
-			if err != nil {
-				b.Fatal(err)
-			}
-			progs = append(progs, p.Code)
-		}
-		if err := sys.AddCPUs(progs...); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.Kernel.RunUntil(sys.CPUsHalted, 1<<40); err != nil {
-			b.Fatal(err)
-		}
-		total += sys.Kernel.Cycle()
-	}
-	reportSimSpeed(b, total)
+	benchLeg(b, experiments.LegSpec{ISSes: 4, Memories: 4, Frames: 8, Crossbar: ic == config.InterCrossbar},
+		experiments.Mode{})
 }
 
 func BenchmarkA1_SharedBus(b *testing.B) { benchInterconnect(b, config.InterBus) }
@@ -676,34 +654,36 @@ func BenchmarkL2(b *testing.B) {
 // gap between the two is the warm-up cost a snapshot-fanned sweep
 // avoids paying per configuration.
 func BenchmarkWarmBoot(b *testing.B) {
-	const frames = 10
-	total, err := experiments.WarmBootColdRun(frames, experiments.Mode{})
+	ctx := context.Background()
+	leg := experiments.LegSpec{Frames: 10}
+	var r experiments.SimRunner
+	ref, err := r.RunLeg(ctx, leg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	snap, _, err := experiments.WarmBootSnapshot(frames, experiments.Mode{}, total)
+	snap, err := r.Warmup(ctx, leg, ref.Cycles/2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("cold", func(b *testing.B) {
 		var cycles uint64
 		for i := 0; i < b.N; i++ {
-			n, err := experiments.WarmBootColdRun(frames, experiments.Mode{})
+			res, err := r.RunLeg(ctx, leg, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			cycles += n
+			cycles += res.SimCycles()
 		}
 		reportSimSpeed(b, cycles)
 	})
 	b.Run("resume", func(b *testing.B) {
 		var cycles uint64
 		for i := 0; i < b.N; i++ {
-			n, err := experiments.WarmBootResume(experiments.Mode{}, snap)
+			res, err := r.RunLeg(ctx, leg, snap)
 			if err != nil {
 				b.Fatal(err)
 			}
-			cycles += n - total/2
+			cycles += res.SimCycles()
 		}
 		reportSimSpeed(b, cycles)
 	})

@@ -40,53 +40,6 @@ func main() {
 	}
 }
 
-// ctxChunk is the cycle granularity at which the simulation loop checks
-// for SIGINT/SIGTERM. Fixed so interruptible runs stay deterministic —
-// see the matching constant in internal/experiments.
-const ctxChunk = 65536
-
-// runCtx is Kernel.Run in ctxChunk slices, aborting with ctx.Err() at
-// the first boundary after a signal.
-func runCtx(ctx context.Context, k *sim.Kernel, n uint64) error {
-	for done := uint64(0); done < n; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		budget := n - done
-		if budget > ctxChunk {
-			budget = ctxChunk
-		}
-		if err := k.Run(budget); err != nil {
-			return err
-		}
-		done += budget
-	}
-	return nil
-}
-
-// runUntilCtx is Kernel.RunUntil in ctxChunk slices with the same
-// cancellation behavior.
-func runUntilCtx(ctx context.Context, k *sim.Kernel, pred func() bool, limit uint64) error {
-	for done := uint64(0); done < limit; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		budget := limit - done
-		if budget > ctxChunk {
-			budget = ctxChunk
-		}
-		adv, err := k.RunUntil(pred, budget)
-		done += adv
-		if err == nil {
-			return nil
-		}
-		if err != sim.ErrLimit {
-			return err
-		}
-	}
-	return sim.ErrLimit
-}
-
 func run() error {
 	var (
 		isses    = flag.Int("isses", 0, "number of ISS masters (armlet CPUs)")
@@ -208,16 +161,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var part cache.PartitionKind
-	switch *partit {
-	case "none":
-		part = cache.PartNone
-	case "swp":
-		part = cache.PartSWP
-	case "ucp":
-		part = cache.PartUCP
-	default:
-		return fmt.Errorf("unknown -partition %q", *partit)
+	part, err := cache.ParsePartition(*partit)
+	if err != nil {
+		return err
 	}
 	if *l2on {
 		// The L2's inclusion machinery back-invalidates L1 lines through
@@ -301,28 +247,27 @@ func run() error {
 		}
 		doneFn = sys.CPUsHalted
 	case *isses > 0:
+		work := *frames
+		if *wl != "gsm" {
+			work = *iters
+		}
+		kernel := workload.ISSKernel{Name: *wl, ISSes: *isses, Memories: *memories, Work: work, Seed: uint32(*seed)}
 		var progs [][]byte
 		for i := 0; i < *isses; i++ {
 			var src string
+			var err error
 			switch *wl {
-			case "gsm":
-				src = workload.GSMKernelSource(workload.GSMKernelConfig{
-					Frames: *frames, SM: i % *memories, Seed: uint32(*seed) + uint32(i),
-				})
+			case "gsm", "sweep":
+				src, err = kernel.Source(i)
 			case "traffic":
 				src = workload.TrafficKernelSource(workload.TrafficKernelConfig{
 					Iterations: *iters, SM: i % *memories,
 				})
-			case "sweep":
-				// Interleaved word ranges: ISS i owns words i, i+n, i+2n, …
-				// — neighbouring ISSs falsely share every cache line.
-				src = workload.SweepKernelSource(workload.SweepKernelConfig{
-					Iterations: *iters, SM: i % *memories,
-					Base: 4 * i, Stride: 4 * *isses, Words: 64,
-					Seed: uint32(*seed) + uint32(16*(i+1)),
-				})
 			default:
 				return fmt.Errorf("workload %q needs -pes masters", *wl)
+			}
+			if err != nil {
+				return err
 			}
 			p, err := isa.Assemble(src)
 			if err != nil {
@@ -378,7 +323,7 @@ func run() error {
 		sys.Kernel.EnableProfiling()
 	}
 	if *ckpt > 0 {
-		if err := runCtx(ctx, sys.Kernel, *ckpt); err != nil {
+		if err := sys.Kernel.RunCtx(ctx, *ckpt); err != nil {
 			return fmt.Errorf("checkpoint warm-up: %w", err)
 		}
 		data, err := sys.Snapshot()
@@ -393,7 +338,7 @@ func run() error {
 	}
 	startCycle := sys.Kernel.Cycle()
 	start := time.Now()
-	if err := runUntilCtx(ctx, sys.Kernel, doneFn, *limit); err != nil {
+	if _, err := sys.Kernel.RunUntilCtx(ctx, doneFn, *limit); err != nil {
 		if ctx.Err() != nil {
 			return fmt.Errorf("interrupted at cycle %d (profiles flushed)", sys.Kernel.Cycle())
 		}

@@ -34,6 +34,11 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so idle or trickling connections cannot hold the daemon's
+// connection slots open.
+const readHeaderTimeout = 10 * time.Second
+
 func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
 	storeDir := flag.String("store", "mpsimd-store", "result/snapshot store directory")
@@ -72,7 +77,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Info("mpsimd listening", "addr", *addr, "store", *storeDir,

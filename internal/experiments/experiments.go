@@ -14,7 +14,6 @@ import (
 	"repro/internal/dma"
 	"repro/internal/gsm"
 	"repro/internal/heapsim"
-	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/smapi"
@@ -76,9 +75,10 @@ type Options struct {
 	// warm-up snapshot from this file instead of simulating the warm-up
 	// phase. An incompatible file fails loudly on the first restore.
 	Restore string
-	// Ctx, when non-nil, makes every measured run cancellable: a run
-	// aborts with Ctx.Err() at the next chunk boundary after
-	// cancellation (see Mode.WithContext). Nil keeps runs
+	// Ctx, when non-nil, makes the ISS-leg experiments (E1, E5, A1, PAR
+	// and WB) cancellable: a run aborts with Ctx.Err() at the next chunk
+	// boundary after cancellation (see sim.Kernel.RunUntilCtx). The
+	// native-PE and trace experiments ignore it. Nil keeps runs
 	// uninterruptible.
 	Ctx context.Context
 }
@@ -120,20 +120,12 @@ type Mode struct {
 	// plain-interpreter side of the differential matrix.
 	NoBatch       bool
 	NoDecodeCache bool
-
-	// ctx, when set via WithContext, makes measured runs cancellable:
-	// they abort with ctx.Err() at the next chunk boundary. Unexported
-	// so keyed Mode literals elsewhere stay valid; nil means
-	// uninterruptible (and chunk-free, byte-for-byte the historical
-	// behavior).
-	ctx context.Context
 }
 
 func (o Options) mode() Mode {
 	return Mode{Lockstep: o.Lockstep, Workers: o.Workers, Alloc: o.Alloc,
 		Depth: o.Depth, Split: o.Split, OOO: o.OOO, Cache: o.Cache,
-		L2: o.L2, Partition: o.Partition, DRAM: o.DRAM, ClosePage: o.ClosePage,
-		ctx: o.Ctx}
+		L2: o.L2, Partition: o.Partition, DRAM: o.DRAM, ClosePage: o.ClosePage}
 }
 
 // sysConfig translates the mode's protocol and scheduler axes into the
@@ -175,66 +167,24 @@ func flatPeek(sys *config.System, sm int) func(uint32) byte {
 // runLimit is the cycle budget for any single measured run.
 const runLimit = 2_000_000_000
 
-// RunGSMISS builds the paper's configuration — nISS armlet ISSs running
-// the GSM traffic kernel against nMem wrapper memories over a shared
-// bus — runs it to completion in kernel mode m and returns the measured
-// result.
-func RunGSMISS(nISS, nMem, frames int, m Mode) (stats.RunResult, error) {
-	cfg := m.sysConfig()
-	cfg.Masters, cfg.Memories, cfg.MemKind = nISS, nMem, config.MemWrapper
-	sys, err := config.Build(cfg)
-	if err != nil {
+// measureLeg runs an ISS leg under mode m once to warm the host up,
+// then reps more times, and returns the fastest run: the measured
+// quantity, cycles per host second, is a wall-clock rate, so the best
+// of several suppresses host scheduling noise.
+func measureLeg(ctx context.Context, leg LegSpec, m Mode, reps int) (stats.RunResult, error) {
+	run := func() (LegResult, error) { return SimRunner{}.RunMode(ctx, leg, m, nil) }
+	if _, err := run(); err != nil { // warm-up, discarded
 		return stats.RunResult{}, err
 	}
-	progs := make([][]byte, nISS)
-	for i := 0; i < nISS; i++ {
-		src := workload.GSMKernelSource(workload.GSMKernelConfig{
-			Frames: frames,
-			SM:     i % nMem,
-			Seed:   uint32(i + 1),
-		})
-		p, err := isa.Assemble(src)
-		if err != nil {
-			return stats.RunResult{}, fmt.Errorf("iss %d: %w", i, err)
-		}
-		progs[i] = p.Code
-	}
-	if err := sys.AddCPUs(progs...); err != nil {
-		return stats.RunResult{}, err
-	}
-	start := time.Now()
-	if _, err := m.runUntil(sys.Kernel, sys.CPUsHalted, runLimit); err != nil {
-		return stats.RunResult{}, err
-	}
-	wall := time.Since(start)
-	for i, cpu := range sys.CPUs {
-		if cpu.ExitCode() != 0 {
-			return stats.RunResult{}, fmt.Errorf("iss %d exited %#x", i, cpu.ExitCode())
-		}
-	}
-	return stats.RunResult{
-		Name:   fmt.Sprintf("%d ISS / %d mem", nISS, nMem),
-		Cycles: sys.Kernel.Cycle(),
-		Wall:   wall,
-	}, nil
-}
-
-// measureGSMISS runs RunGSMISS with one discarded warmup run and then
-// takes the best of `reps` measured runs, suppressing host scheduling
-// noise (the measured quantity, cycles per host second, is a wall-clock
-// rate).
-func measureGSMISS(nISS, nMem, frames, reps int, m Mode) (stats.RunResult, error) {
-	if _, err := RunGSMISS(nISS, nMem, frames, m); err != nil { // warmup
-		return stats.RunResult{}, err
-	}
-	var best stats.RunResult
+	leg = leg.Normalized()
+	best := stats.RunResult{Name: fmt.Sprintf("%d ISS / %d mem", leg.ISSes, leg.Memories)}
 	for i := 0; i < reps; i++ {
-		r, err := RunGSMISS(nISS, nMem, frames, m)
+		r, err := run()
 		if err != nil {
 			return stats.RunResult{}, err
 		}
-		if i == 0 || r.Wall < best.Wall {
-			best = r
+		if wall := time.Duration(r.WallNS); i == 0 || wall < best.Wall {
+			best.Cycles, best.Wall = r.Cycles, wall
 		}
 	}
 	return best, nil
@@ -246,11 +196,11 @@ func measureGSMISS(nISS, nMem, frames, reps int, m Mode) (stats.RunResult, error
 func E1(o Options) (*stats.Table, error) {
 	frames := o.pick(40, 4)
 	reps := o.pick(3, 1)
-	one, err := measureGSMISS(4, 1, frames, reps, o.mode())
+	one, err := measureLeg(o.Ctx, LegSpec{ISSes: 4, Memories: 1, Frames: frames}, o.mode(), reps)
 	if err != nil {
 		return nil, err
 	}
-	four, err := measureGSMISS(4, 4, frames, reps, o.mode())
+	four, err := measureLeg(o.Ctx, LegSpec{ISSes: 4, Memories: 4, Frames: frames}, o.mode(), reps)
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +276,7 @@ func E5(o Options) ([]*stats.Table, error) {
 		"memories", "sim cycles", "cycles/s", "degradation vs 1")
 	var base stats.RunResult
 	for _, m := range []int{1, 2, 4, 8} {
-		r, err := measureGSMISS(4, m, frames, reps, o.mode())
+		r, err := measureLeg(o.Ctx, LegSpec{ISSes: 4, Memories: m, Frames: frames}, o.mode(), reps)
 		if err != nil {
 			return nil, err
 		}
@@ -343,7 +293,7 @@ func E5(o Options) ([]*stats.Table, error) {
 		"ISSs", "sim cycles", "cycles/s", "degradation vs 1")
 	var peBase stats.RunResult
 	for _, n := range []int{1, 2, 4, 8} {
-		r, err := measureGSMISS(n, 1, frames, reps, o.mode())
+		r, err := measureLeg(o.Ctx, LegSpec{ISSes: n, Memories: 1, Frames: frames}, o.mode(), reps)
 		if err != nil {
 			return nil, err
 		}
@@ -719,32 +669,13 @@ func A1(o Options) (*stats.Table, error) {
 		"A1: interconnect ablation — 4 ISSs, 4 memories, GSM workload",
 		"interconnect", "sim cycles", "wall", "cycles/s")
 	for _, ic := range []config.InterconnectKind{config.InterBus, config.InterCrossbar} {
-		cfg := o.mode().sysConfig()
-		cfg.Masters, cfg.Memories, cfg.MemKind, cfg.Interconnect = 4, 4, config.MemWrapper, ic
-		sys, err := config.Build(cfg)
+		leg := LegSpec{ISSes: 4, Memories: 4, Frames: frames, Crossbar: ic == config.InterCrossbar}
+		r, err := SimRunner{}.RunMode(o.Ctx, leg, o.mode(), nil)
 		if err != nil {
 			return nil, err
 		}
-		var progs [][]byte
-		for i := 0; i < 4; i++ {
-			p, err := isa.Assemble(workload.GSMKernelSource(workload.GSMKernelConfig{
-				Frames: frames, SM: i, Seed: uint32(i + 1),
-			}))
-			if err != nil {
-				return nil, err
-			}
-			progs = append(progs, p.Code)
-		}
-		if err := sys.AddCPUs(progs...); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if _, err := sys.Kernel.RunUntil(sys.CPUsHalted, runLimit); err != nil {
-			return nil, err
-		}
-		wall := time.Since(start)
-		cyc := sys.Kernel.Cycle()
-		t.Add(ic.String(), fmt.Sprint(cyc), wall.Round(time.Millisecond).String(), stats.SI(stats.Rate(cyc, wall)))
+		wall := time.Duration(r.WallNS)
+		t.Add(ic.String(), fmt.Sprint(r.Cycles), wall.Round(time.Millisecond).String(), stats.SI(stats.Rate(r.Cycles, wall)))
 	}
 	return t, nil
 }
@@ -902,14 +833,14 @@ func PAR(o Options) (*stats.Table, error) {
 		fmt.Sprintf("PAR: sharded parallel tick engine — 4 ISS / 4 mem GSM (%d frames/ISS; host GOMAXPROCS=%d)",
 			frames, runtime.GOMAXPROCS(0)),
 		"workers", "sim cycles", "wall", "cycles/s", "speedup vs 1")
-	plain, err := measureGSMISS(4, 4, frames, reps,
-		Mode{Lockstep: o.Lockstep, Workers: 1, NoBatch: true, NoDecodeCache: true})
+	leg := LegSpec{ISSes: 4, Memories: 4, Frames: frames}
+	plain, err := measureLeg(o.Ctx, leg, Mode{Lockstep: o.Lockstep, Workers: 1, NoBatch: true, NoDecodeCache: true}, reps)
 	if err != nil {
 		return nil, err
 	}
 	var base stats.RunResult
 	for _, w := range []int{1, 2, 4, 8} {
-		r, err := measureGSMISS(4, 4, frames, reps, Mode{Lockstep: o.Lockstep, Workers: w})
+		r, err := measureLeg(o.Ctx, leg, Mode{Lockstep: o.Lockstep, Workers: w}, reps)
 		if err != nil {
 			return nil, err
 		}

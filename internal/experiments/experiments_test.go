@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -18,11 +19,11 @@ var quick = Options{Quick: true}
 func TestE1ShapeHolds(t *testing.T) {
 	// The multi-memory configuration must simulate slower per cycle (the
 	// paper's degradation) while the simulated cycle counts stay close.
-	one, err := RunGSMISS(4, 1, 6, Mode{})
+	one, err := SimRunner{}.RunLeg(context.Background(), LegSpec{ISSes: 4, Memories: 1, Frames: 6}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := RunGSMISS(4, 4, 6, Mode{})
+	four, err := SimRunner{}.RunLeg(context.Background(), LegSpec{ISSes: 4, Memories: 4, Frames: 6}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,79 +27,6 @@ import (
 // (and equal warm snapshots) produce bit-identical results, so a
 // persistent store can answer repeated legs without simulating.
 
-// ctxChunk is the cycle granularity at which a context-aware run
-// checks for cancellation. It is a fixed constant, not a knob: the
-// chunk boundary influences how idle spans are split (and thereby the
-// kernel's informational span counters, which travel in snapshots), so
-// keeping it constant keeps context-aware runs deterministic. Cycle
-// counts, module stats and all observable state are chunk-invariant —
-// the RunUntil predicate contract guarantees a conforming predicate
-// cannot flip mid-span.
-const ctxChunk = 65536
-
-// runUntilCtx is Kernel.RunUntil with cooperative cancellation: it
-// advances k toward pred in ctxChunk-cycle slices, returning ctx.Err()
-// at the first boundary after cancellation. A nil ctx (or
-// context.Background()) degrades to the plain uninterruptible call.
-func runUntilCtx(ctx context.Context, k *sim.Kernel, pred func() bool, limit uint64) (uint64, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return k.RunUntil(pred, limit)
-	}
-	var done uint64
-	for done < limit {
-		if err := ctx.Err(); err != nil {
-			return done, err
-		}
-		budget := limit - done
-		if budget > ctxChunk {
-			budget = ctxChunk
-		}
-		adv, err := k.RunUntil(pred, budget)
-		done += adv
-		if err == nil {
-			return done, nil
-		}
-		if err != sim.ErrLimit {
-			return done, err
-		}
-	}
-	return limit, sim.ErrLimit
-}
-
-// runCtx is Kernel.Run with the same cooperative cancellation.
-func runCtx(ctx context.Context, k *sim.Kernel, n uint64) error {
-	if ctx == nil || ctx.Done() == nil {
-		return k.Run(n)
-	}
-	for done := uint64(0); done < n; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		budget := n - done
-		if budget > ctxChunk {
-			budget = ctxChunk
-		}
-		if err := k.Run(budget); err != nil {
-			return err
-		}
-		done += budget
-	}
-	return nil
-}
-
-// WithContext returns a copy of the mode whose measured runs honor ctx:
-// RunGSMISS and the warm-boot helpers abort with ctx.Err() at the next
-// chunk boundary after cancellation. The zero mode runs uninterrupted.
-func (m Mode) WithContext(ctx context.Context) Mode {
-	m.ctx = ctx
-	return m
-}
-
-// runUntil is the mode-aware RunUntil every cancellable run site uses.
-func (m Mode) runUntil(k *sim.Kernel, pred func() bool, limit uint64) (uint64, error) {
-	return runUntilCtx(m.ctx, k, pred, limit)
-}
-
 // LegSpec describes one simulation leg in JSON-friendly terms: the
 // workload, its scale, and the full scheduler/protocol mode — strings
 // where the in-process Mode uses enums. The zero value normalizes to
@@ -173,15 +100,32 @@ func (l LegSpec) Normalized() LegSpec {
 	return l
 }
 
+// Cache geometry caps. Services dry-build every submitted leg, so a
+// set or way count reaches an allocation before any run; at the caps a
+// 64-ISS leg's L1s and L2 still fit in a few tens of MB.
+const (
+	maxL1Sets, maxL1Ways = 512, 8
+	maxL2Sets, maxL2Ways = 4096, 16
+)
+
 // Validate rejects specs the runner cannot execute, with actionable
 // errors (it does not build the system — config.Build applies its own
 // checks at run time).
 func (l LegSpec) Validate() error {
 	n := l.Normalized()
-	switch n.Workload {
-	case "gsm", "sweep":
-	default:
-		return fmt.Errorf("leg %q: unknown workload %q (want gsm or sweep)", l.Name, l.Workload)
+	if err := n.kernel().Validate(); err != nil {
+		return fmt.Errorf("leg %q: %w", l.Name, err)
+	}
+	for _, g := range []struct {
+		name     string
+		val, max int
+	}{
+		{"cache_sets", n.CacheSets, maxL1Sets}, {"cache_ways", n.CacheWays, maxL1Ways},
+		{"l2_sets", n.L2Sets, maxL2Sets}, {"l2_ways", n.L2Ways, maxL2Ways},
+	} {
+		if g.val < 0 || g.val > g.max {
+			return fmt.Errorf("leg %q: %s %d out of range [0,%d]", l.Name, g.name, g.val, g.max)
+		}
 	}
 	if n.ISSes < 1 || n.ISSes > 64 {
 		return fmt.Errorf("leg %q: isses %d out of range [1,64]", l.Name, n.ISSes)
@@ -223,16 +167,11 @@ func (l LegSpec) Mode() (Mode, error) {
 		}
 		m.Alloc = kind
 	}
-	switch l.Partition {
-	case "", "none":
-		m.Partition = cache.PartNone
-	case "swp":
-		m.Partition = cache.PartSWP
-	case "ucp":
-		m.Partition = cache.PartUCP
-	default:
-		return Mode{}, fmt.Errorf("unknown partition %q (want none, swp or ucp)", l.Partition)
+	part, err := cache.ParsePartition(l.Partition)
+	if err != nil {
+		return Mode{}, err
 	}
+	m.Partition = part
 	return m, nil
 }
 
@@ -240,11 +179,18 @@ func (l LegSpec) Mode() (Mode, error) {
 // selects the memory kind: gsm allocates, so it needs wrappers; sweep
 // targets the flat (cacheable) memories.
 func (l LegSpec) Config() (config.SystemConfig, error) {
-	n := l.Normalized()
-	m, err := n.Mode()
+	m, err := l.Mode()
 	if err != nil {
 		return config.SystemConfig{}, err
 	}
+	return l.config(m)
+}
+
+// config is Config under mode m in place of the leg's own scheduler,
+// protocol and hierarchy fields (m also carries the ISS interpreter
+// knobs LegSpec has no field for).
+func (l LegSpec) config(m Mode) (config.SystemConfig, error) {
+	n := l.Normalized()
 	cfg := m.sysConfig()
 	cfg.Masters, cfg.Memories = n.ISSes, n.Memories
 	switch n.Workload {
@@ -264,27 +210,19 @@ func (l LegSpec) Config() (config.SystemConfig, error) {
 	return cfg, nil
 }
 
+// kernel describes the programs of a normalized leg's ISSs.
+func (l LegSpec) kernel() workload.ISSKernel {
+	return workload.ISSKernel{Name: l.Workload, ISSes: l.ISSes, Memories: l.Memories, Work: l.Frames, Seed: l.Seed}
+}
+
 // programs assembles the per-ISS workload images.
 func (l LegSpec) programs() ([][]byte, error) {
 	n := l.Normalized()
 	progs := make([][]byte, n.ISSes)
-	for i := 0; i < n.ISSes; i++ {
-		var src string
-		switch n.Workload {
-		case "gsm":
-			src = workload.GSMKernelSource(workload.GSMKernelConfig{
-				Frames: n.Frames, SM: i % n.Memories, Seed: n.Seed + uint32(i),
-			})
-		case "sweep":
-			// Interleaved word ranges, like mpsim -workload sweep:
-			// neighbouring ISSs falsely share every cache line.
-			src = workload.SweepKernelSource(workload.SweepKernelConfig{
-				Iterations: n.Frames, SM: i % n.Memories,
-				Base: 4 * i, Stride: 4 * n.ISSes, Words: 64,
-				Seed: n.Seed + uint32(16*(i+1)),
-			})
-		default:
-			return nil, fmt.Errorf("unknown workload %q", n.Workload)
+	for i := range progs {
+		src, err := n.kernel().Source(i)
+		if err != nil {
+			return nil, err
 		}
 		p, err := isa.Assemble(src)
 		if err != nil {
@@ -331,6 +269,12 @@ func (l LegSpec) StateKey(warmCycles uint64) (string, error) {
 	return hex.EncodeToString(h[:16]), nil
 }
 
+// SnapshotHash digests snapshot bytes for result keys (see Key).
+func SnapshotHash(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:16])
+}
+
 // LegResult is one finished leg. Cycles is the kernel's absolute final
 // cycle count (so a warm-booted leg lands on its cold reference's exact
 // value); StartCycle is where this run began (0 cold, the snapshot
@@ -370,12 +314,15 @@ type Runner interface {
 	Warmup(ctx context.Context, leg LegSpec, cycles uint64) ([]byte, error)
 }
 
-// SimRunner runs legs on the in-process simulator.
+// SimRunner runs legs on the in-process simulator. It is the one path
+// that builds and runs an ISS leg: the service, the ISS experiments
+// (E1, E5, A1, PAR, WB) and their benchmarks all go through it.
 type SimRunner struct{}
 
-// build constructs the leg's system with its programs attached.
-func (SimRunner) build(leg LegSpec) (*config.System, error) {
-	cfg, err := leg.Config()
+// build constructs the leg's system under mode m with its programs
+// attached.
+func (SimRunner) build(leg LegSpec, m Mode) (*config.System, error) {
+	cfg, err := leg.config(m)
 	if err != nil {
 		return nil, err
 	}
@@ -397,17 +344,30 @@ func (SimRunner) build(leg LegSpec) (*config.System, error) {
 // non-nil warm snapshot resumes from it (the snapshot must belong to
 // the leg's warm-boot compatibility class) instead of starting cold.
 func (r SimRunner) RunLeg(ctx context.Context, leg LegSpec, warm []byte) (LegResult, error) {
+	m, err := leg.Mode()
+	if err != nil {
+		return LegResult{}, err
+	}
+	return r.RunMode(ctx, leg, m, warm)
+}
+
+// RunMode is RunLeg under the in-process mode m in place of the leg's
+// own scheduler, protocol and hierarchy fields — the form experiments
+// and benchmarks use, since m also carries the ISS interpreter knobs
+// (NoBatch, NoDecodeCache) LegSpec has no field for. Every ISS must
+// exit 0; WallNS covers the run alone, not build or restore.
+func (r SimRunner) RunMode(ctx context.Context, leg LegSpec, m Mode, warm []byte) (LegResult, error) {
 	leg = leg.Normalized()
 	var sys *config.System
 	var err error
 	if warm != nil {
-		cfg, cerr := leg.Config()
+		cfg, cerr := leg.config(m)
 		if cerr != nil {
 			return LegResult{}, cerr
 		}
 		sys, err = config.RestoreSystem(cfg, warm)
 	} else {
-		sys, err = r.build(leg)
+		sys, err = r.build(leg, m)
 	}
 	if err != nil {
 		return LegResult{}, err
@@ -424,7 +384,7 @@ func (r SimRunner) RunLeg(ctx context.Context, leg LegSpec, warm []byte) (LegRes
 	}
 
 	start := time.Now()
-	if _, err := runUntilCtx(ctx, sys.Kernel, sys.CPUsHalted, runLimit); err != nil {
+	if _, err := sys.Kernel.RunUntilCtx(ctx, sys.CPUsHalted, runLimit); err != nil {
 		return LegResult{}, err
 	}
 	res.WallNS = time.Since(start).Nanoseconds()
@@ -448,12 +408,20 @@ func (r SimRunner) RunLeg(ctx context.Context, leg LegSpec, warm []byte) (LegRes
 // Warmup runs the leg's warm-up prefix — cycles from cold — and
 // returns the system snapshot at that point.
 func (r SimRunner) Warmup(ctx context.Context, leg LegSpec, cycles uint64) ([]byte, error) {
-	leg = leg.Normalized()
-	sys, err := r.build(leg)
+	m, err := leg.Mode()
 	if err != nil {
 		return nil, err
 	}
-	if err := runCtx(ctx, sys.Kernel, cycles); err != nil {
+	return r.warmup(ctx, leg, m, cycles)
+}
+
+// warmup is Warmup under mode m (see RunMode).
+func (r SimRunner) warmup(ctx context.Context, leg LegSpec, m Mode, cycles uint64) ([]byte, error) {
+	sys, err := r.build(leg, m)
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.Kernel.RunCtx(ctx, cycles); err != nil {
 		return nil, err
 	}
 	return sys.Snapshot()

@@ -79,6 +79,16 @@ func TestLegSpecValidate(t *testing.T) {
 		"alloc":      {Alloc: "yolo"},
 		"partition":  {Partition: "diag"},
 		"l2 on gsm":  {Workload: "gsm", L2: true},
+		// Sweep values run to seed+16·isses+63 and must fit a byte.
+		"sweep seed":      {Workload: "sweep", Seed: 129},
+		"sweep isses":     {Workload: "sweep", ISSes: 12},
+		"sweep huge seed": {Workload: "sweep", Seed: 5000},
+		// Geometry is capped before any build allocates it.
+		"cache_sets":     {Workload: "sweep", Cache: true, CacheSets: maxL1Sets + 1},
+		"cache_ways":     {Workload: "sweep", Cache: true, CacheWays: 1 << 30},
+		"l2_sets":        {Workload: "sweep", L2: true, L2Sets: 1 << 40},
+		"l2_ways":        {Workload: "sweep", L2: true, L2Ways: maxL2Ways + 1},
+		"neg cache_sets": {Workload: "sweep", Cache: true, CacheSets: -1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%s: invalid spec accepted", name)
@@ -89,6 +99,22 @@ func TestLegSpecValidate(t *testing.T) {
 	}
 	if err := (LegSpec{Workload: "sweep", L2: true, Dram: true, Partition: "ucp"}).Validate(); err != nil {
 		t.Errorf("L2+DRAM sweep rejected: %v", err)
+	}
+	for _, ok := range []LegSpec{
+		{Workload: "sweep", ISSes: 11},
+		{Workload: "sweep", L2: true, L2Sets: maxL2Sets, L2Ways: maxL2Ways, CacheSets: maxL1Sets, CacheWays: maxL1Ways},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", ok, err)
+		}
+	}
+	// The sweep bound is exact: the largest accepted seed still runs clean.
+	edge := LegSpec{Workload: "sweep", Seed: 128, Frames: 1}
+	if err := edge.Validate(); err != nil {
+		t.Fatalf("seed 128 rejected: %v", err)
+	}
+	if _, err := (SimRunner{}).RunLeg(context.Background(), edge, nil); err != nil {
+		t.Errorf("seed 128 sweep failed: %v", err)
 	}
 }
 
@@ -137,6 +163,25 @@ func TestSimRunnerDeterministicAndResumable(t *testing.T) {
 	}
 	if !warmFast.Identical(cold1) {
 		t.Fatalf("cross-scheduler warm-boot diverged: %+v vs %+v", warmFast, cold1)
+	}
+}
+
+// TestISSExperimentsHonorCtx: every ISS-leg experiment returns
+// context.Canceled under a canceled Options.Ctx instead of running.
+func TestISSExperimentsHonorCtx(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o := Options{Quick: true, Ctx: ctx}
+	for name, run := range map[string]func(Options) error{
+		"e1":  func(o Options) error { _, err := E1(o); return err },
+		"e5":  func(o Options) error { _, err := E5(o); return err },
+		"a1":  func(o Options) error { _, err := A1(o); return err },
+		"par": func(o Options) error { _, err := PAR(o); return err },
+		"wb":  func(o Options) error { _, err := WB(o); return err },
+	} {
+		if err := run(o); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under canceled ctx returned %v, want context.Canceled", name, err)
+		}
 	}
 }
 

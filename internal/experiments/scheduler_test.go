@@ -14,12 +14,10 @@ import (
 	"repro/internal/dma"
 	"repro/internal/gsm"
 	"repro/internal/heapsim"
-	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/smapi"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // This file is the differential harness of the kernel's scheduling
@@ -174,62 +172,29 @@ func runBoth(t *testing.T, name string, scenario func(m Mode) (*config.System, e
 func TestSchedDiffGSMISS(t *testing.T) {
 	for _, tc := range []struct{ nISS, nMem int }{{1, 1}, {4, 1}, {4, 4}} {
 		name := fmt.Sprintf("gsm-iss-%dx%d", tc.nISS, tc.nMem)
-		runBoth(t, name, func(m Mode) (*config.System, error) {
-			cfg := m.sysConfig()
-			cfg.Masters, cfg.Memories, cfg.MemKind = tc.nISS, tc.nMem, config.MemWrapper
-			sys, err := config.Build(cfg)
-			if err != nil {
-				return nil, err
-			}
-			var progs [][]byte
-			for i := 0; i < tc.nISS; i++ {
-				p, err := isa.Assemble(workload.GSMKernelSource(workload.GSMKernelConfig{
-					Frames: 2, SM: i % tc.nMem, Seed: uint32(i + 1),
-				}))
-				if err != nil {
-					return nil, err
-				}
-				progs = append(progs, p.Code)
-			}
-			if err := sys.AddCPUs(progs...); err != nil {
-				return nil, err
-			}
-			if _, err := sys.Kernel.RunUntil(sys.CPUsHalted, runLimit); err != nil {
-				return nil, err
-			}
-			return sys, nil
-		})
+		runBoth(t, name, runLeg(LegSpec{ISSes: tc.nISS, Memories: tc.nMem, Frames: 2}))
 	}
 }
 
-// TestSchedDiffCrossbar is the A1 ablation topology.
-func TestSchedDiffCrossbar(t *testing.T) {
-	runBoth(t, "crossbar", func(m Mode) (*config.System, error) {
-		cfg := m.sysConfig()
-		cfg.Masters, cfg.Memories, cfg.MemKind = 2, 2, config.MemWrapper
-		cfg.Interconnect = config.InterCrossbar
-		sys, err := config.Build(cfg)
+// runLeg builds an ISS leg through SimRunner — the path the ISS
+// experiments and the service take — under the harness's mode and runs
+// it to completion.
+func runLeg(leg LegSpec) func(Mode) (*config.System, error) {
+	return func(m Mode) (*config.System, error) {
+		sys, err := SimRunner{}.build(leg, m)
 		if err != nil {
-			return nil, err
-		}
-		var progs [][]byte
-		for i := 0; i < 2; i++ {
-			p, err := isa.Assemble(workload.GSMKernelSource(workload.GSMKernelConfig{
-				Frames: 2, SM: i, Seed: uint32(i + 1),
-			}))
-			if err != nil {
-				return nil, err
-			}
-			progs = append(progs, p.Code)
-		}
-		if err := sys.AddCPUs(progs...); err != nil {
 			return nil, err
 		}
 		if _, err := sys.Kernel.RunUntil(sys.CPUsHalted, runLimit); err != nil {
 			return nil, err
 		}
 		return sys, nil
-	})
+	}
+}
+
+// TestSchedDiffCrossbar is the A1 ablation topology.
+func TestSchedDiffCrossbar(t *testing.T) {
+	runBoth(t, "crossbar", runLeg(LegSpec{ISSes: 2, Memories: 2, Frames: 2, Crossbar: true}))
 }
 
 // TestSchedDiffPipeline is the E1b configuration: the bit-exact GSM
@@ -561,31 +526,10 @@ func TestSchedDiffSplitPort(t *testing.T) {
 		for _, depth := range []int{1, 4} {
 			for _, split := range []bool{false, true} {
 				name := fmt.Sprintf("gsm-%s-d%d-split%v", inter, depth, split)
+				leg := runLeg(LegSpec{ISSes: 4, Memories: 4, Frames: 1, Crossbar: inter == config.InterCrossbar})
 				runBoth(t, name, func(m Mode) (*config.System, error) {
-					cfg := m.sysConfig()
-					cfg.Masters, cfg.Memories, cfg.MemKind = 4, 4, config.MemWrapper
-					cfg.Interconnect, cfg.OutstandingDepth, cfg.SplitBus = inter, depth, split
-					sys, err := config.Build(cfg)
-					if err != nil {
-						return nil, err
-					}
-					var progs [][]byte
-					for i := 0; i < 4; i++ {
-						p, err := isa.Assemble(workload.GSMKernelSource(workload.GSMKernelConfig{
-							Frames: 1, SM: i, Seed: uint32(i + 1),
-						}))
-						if err != nil {
-							return nil, err
-						}
-						progs = append(progs, p.Code)
-					}
-					if err := sys.AddCPUs(progs...); err != nil {
-						return nil, err
-					}
-					if _, err := sys.Kernel.RunUntil(sys.CPUsHalted, runLimit); err != nil {
-						return nil, err
-					}
-					return sys, nil
+					m.Depth, m.Split = depth, split
+					return leg(m)
 				})
 			}
 		}

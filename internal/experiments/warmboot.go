@@ -1,16 +1,11 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"time"
 
-	"repro/internal/config"
-	"repro/internal/isa"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // This file is the warm-boot sweep: instead of paying the workload's
@@ -21,145 +16,26 @@ import (
 // still produces the cold run's exact cycle count — and the WB
 // experiment proves it by checking, not assuming.
 
-// WarmBootCache memoizes finished runs by (config hash, snapshot
-// hash): with a deterministic simulator, that pair fully determines
-// the result, so a hit can skip the simulation outright.
-type WarmBootCache struct {
-	results map[string]stats.RunResult
-	Hits    uint64
-	Misses  uint64
-}
-
-// NewWarmBootCache returns an empty cache.
-func NewWarmBootCache() *WarmBootCache {
-	return &WarmBootCache{results: make(map[string]stats.RunResult)}
-}
-
-// Key combines a full config hash with a snapshot hash.
-func (c *WarmBootCache) Key(cfg config.SystemConfig, snapHash string) string {
-	return cfg.Hash() + ":" + snapHash
-}
-
-// Get looks up a cached result.
-func (c *WarmBootCache) Get(key string) (stats.RunResult, bool) {
-	r, ok := c.results[key]
-	if ok {
-		c.Hits++
-	} else {
-		c.Misses++
-	}
-	return r, ok
-}
-
-// Put stores a result.
-func (c *WarmBootCache) Put(key string, r stats.RunResult) { c.results[key] = r }
-
-// SnapshotHash digests snapshot bytes for cache keying.
-func SnapshotHash(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:16])
-}
-
-// wbConfig is the warm-boot experiment's system: the paper's 4-ISS GSM
-// configuration against one wrapper memory.
-func wbConfig(m Mode) config.SystemConfig {
-	cfg := m.sysConfig()
-	cfg.Masters, cfg.Memories, cfg.MemKind = 4, 1, config.MemWrapper
-	return cfg
-}
-
-func wbBuild(frames int, m Mode) (*config.System, error) {
-	sys, err := config.Build(wbConfig(m))
-	if err != nil {
-		return nil, err
-	}
-	progs := make([][]byte, 4)
-	for i := range progs {
-		p, err := isa.Assemble(workload.GSMKernelSource(workload.GSMKernelConfig{
-			Frames: frames, SM: 0, Seed: uint32(i + 1),
-		}))
-		if err != nil {
-			return nil, err
-		}
-		progs[i] = p.Code
-	}
-	if err := sys.AddCPUs(progs...); err != nil {
-		return nil, err
-	}
-	return sys, nil
-}
-
-func wbFinish(sys *config.System, m Mode) (uint64, error) {
-	if _, err := m.runUntil(sys.Kernel, sys.CPUsHalted, runLimit); err != nil {
-		return 0, err
-	}
-	for i, cpu := range sys.CPUs {
-		if cpu.ExitCode() != 0 {
-			return 0, fmt.Errorf("iss %d exited %#x", i, cpu.ExitCode())
-		}
-	}
-	return sys.Kernel.Cycle(), nil
-}
-
-// WarmBootSnapshot runs the shared warm-up phase — warmFrac of the
-// cold run's cycles — once, in mode m, and returns the snapshot bytes
-// plus the warm-up cycle count.
-func WarmBootSnapshot(frames int, m Mode, coldCycles uint64) ([]byte, uint64, error) {
-	warmK := coldCycles / 2
-	sys, err := wbBuild(frames, m)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := runCtx(m.ctx, sys.Kernel, warmK); err != nil {
-		return nil, 0, err
-	}
-	data, err := sys.Snapshot()
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, warmK, nil
-}
-
-// WarmBootColdRun runs the WB workload from cycle 0 in mode m and
-// returns its total cycle count (benchmark support).
-func WarmBootColdRun(frames int, m Mode) (uint64, error) {
-	sys, err := wbBuild(frames, m)
-	if err != nil {
-		return 0, err
-	}
-	return wbFinish(sys, m)
-}
-
-// WarmBootResume restores the WB workload's snapshot under mode m and
-// runs the remainder, returning the total cycle count (benchmark
-// support).
-func WarmBootResume(m Mode, snap []byte) (uint64, error) {
-	sys, err := config.RestoreSystem(wbConfig(m), snap)
-	if err != nil {
-		return 0, err
-	}
-	return wbFinish(sys, m)
-}
-
-// WB is the warm-boot experiment: a scheduler sweep over the GSM
-// configuration, run cold (from cycle 0) and warm (restored from one
-// shared warm-up snapshot), with per-variant results memoized by
-// (config hash, snapshot hash). Every warm leg must reproduce the cold
-// leg's exact cycle count — restore correctness is asserted inside the
-// measurement, not alongside it.
+// WB is the warm-boot experiment: a scheduler sweep over the paper's
+// 4-ISS GSM configuration on one wrapper memory, run cold (from cycle
+// 0) and warm (restored from one shared warm-up snapshot), with
+// per-variant results memoized by config hash — with one shared
+// snapshot and a deterministic simulator, the config fully determines
+// the result. Every warm leg must reproduce the cold leg's exact cycle
+// count — restore correctness is asserted inside the measurement, not
+// alongside it.
 func WB(o Options) (*stats.Table, error) {
 	frames := o.pick(20, 3)
 	base := o.mode()
+	leg := LegSpec{Frames: frames}
+	var r SimRunner
 
 	// Cold reference: learns the total cycle count the warm legs must hit.
-	refSys, err := wbBuild(frames, base)
+	ref, err := r.RunMode(o.Ctx, leg, base, nil)
 	if err != nil {
 		return nil, err
 	}
-	total, err := wbFinish(refSys, base)
-	if err != nil {
-		return nil, err
-	}
+	total := ref.Cycles
 
 	// Shared warm-up: one run to total/2, snapshotted once — or, when
 	// o.Restore names a file, loaded from a previous run's checkpoint
@@ -168,35 +44,37 @@ func WB(o Options) (*stats.Table, error) {
 	var warmK uint64
 	if o.Restore != "" {
 		snap, err = os.ReadFile(o.Restore)
-		if err != nil {
-			return nil, err
-		}
 	} else {
-		snap, warmK, err = WarmBootSnapshot(frames, base, total)
-		if err != nil {
-			return nil, err
-		}
+		warmK = total / 2
+		snap, err = r.warmup(o.Ctx, leg, base, warmK)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if o.Checkpoint != "" {
 		if err := os.WriteFile(o.Checkpoint, snap, 0o644); err != nil {
 			return nil, err
 		}
 	}
-	snapHash := SnapshotHash(snap)
 
+	variant := func(lockstep bool, workers int) Mode {
+		m := base
+		m.Lockstep, m.Workers = lockstep, workers
+		return m
+	}
 	variants := []struct {
 		name string
 		mode Mode
 	}{
-		{"lockstep/w1", func() Mode { m := base; m.Lockstep, m.Workers = true, 1; return m }()},
-		{"event-driven/w1", func() Mode { m := base; m.Lockstep, m.Workers = false, 1; return m }()},
-		{"event-driven/w4", func() Mode { m := base; m.Lockstep, m.Workers = false, 4; return m }()},
+		{"lockstep/w1", variant(true, 1)},
+		{"event-driven/w1", variant(false, 1)},
+		{"event-driven/w4", variant(false, 4)},
 		// Repeated on purpose: the second run must come from the result
 		// cache without simulating.
-		{"event-driven/w1 (again)", func() Mode { m := base; m.Lockstep, m.Workers = false, 1; return m }()},
+		{"event-driven/w1 (again)", variant(false, 1)},
 	}
 
-	cache := NewWarmBootCache()
+	results := map[string]uint64{} // config hash → final cycle count
 	warmDesc := fmt.Sprintf("warm-up %d of %d cycles", warmK, total)
 	if o.Restore != "" {
 		warmDesc = fmt.Sprintf("warm-up restored from %s, %d total cycles", o.Restore, total)
@@ -206,44 +84,37 @@ func WB(o Options) (*stats.Table, error) {
 			frames, warmDesc, len(snap)/1024),
 		"variant", "cold wall", "warm wall", "saving", "cycles", "source")
 	for _, v := range variants {
-		cfg := wbConfig(v.mode)
-		key := cache.Key(cfg, snapHash)
-		if r, ok := cache.Get(key); ok {
-			t.Add(v.name, "-", "0s", "-", fmt.Sprint(r.Cycles), "cache hit")
+		cfg, err := leg.config(v.mode)
+		if err != nil {
+			return nil, err
+		}
+		key := cfg.Hash()
+		if cycles, ok := results[key]; ok {
+			t.Add(v.name, "-", "0s", "-", fmt.Sprint(cycles), "cache hit")
 			continue
 		}
-		// Cold leg.
-		coldSys, err := wbBuild(frames, v.mode)
+		cold, err := r.RunMode(o.Ctx, leg, v.mode, nil)
 		if err != nil {
 			return nil, err
 		}
-		coldStart := time.Now()
-		coldCycles, err := wbFinish(coldSys, v.mode)
-		if err != nil {
-			return nil, err
-		}
-		coldWall := time.Since(coldStart)
+		coldWall := time.Duration(cold.WallNS)
 		// Warm leg: restore the shared snapshot under this variant's
-		// scheduler knobs and run the remainder.
+		// scheduler knobs and run the remainder; its wall time includes
+		// the restore.
 		warmStart := time.Now()
-		warmSys, err := config.RestoreSystem(cfg, snap)
-		if err != nil {
-			return nil, err
-		}
-		warmCycles, err := wbFinish(warmSys, v.mode)
+		warm, err := r.RunMode(o.Ctx, leg, v.mode, snap)
 		if err != nil {
 			return nil, err
 		}
 		warmWall := time.Since(warmStart)
-		if coldCycles != total || warmCycles != total {
+		if cold.Cycles != total || warm.Cycles != total {
 			return nil, fmt.Errorf("wb %s: cycles diverged: cold %d, warm %d, reference %d",
-				v.name, coldCycles, warmCycles, total)
+				v.name, cold.Cycles, warm.Cycles, total)
 		}
+		results[key] = warm.Cycles
 		saving := 1 - warmWall.Seconds()/coldWall.Seconds()
-		r := stats.RunResult{Name: v.name, Cycles: warmCycles, Wall: warmWall}
-		cache.Put(key, r)
 		t.Add(v.name, coldWall.Round(time.Millisecond).String(), warmWall.Round(time.Millisecond).String(),
-			stats.Pct(saving), fmt.Sprint(warmCycles), "simulated")
+			stats.Pct(saving), fmt.Sprint(warm.Cycles), "simulated")
 	}
 	return t, nil
 }

@@ -8,7 +8,7 @@
 // timeouts, and panic isolation: a crashing leg fails its job, never
 // the server.
 //
-// The store generalizes experiments.WarmBootCache to disk. Result keys
+// The store is the persistent result cache. Result keys
 // are digests of (full config hash, canonical leg spec, warm-snapshot
 // hash) — with the deterministic scheduler that triple fully determines
 // the outcome, so a repeated or overlapping sweep is answered from the

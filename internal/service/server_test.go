@@ -236,6 +236,41 @@ func TestSubmitRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedBody: a body past maxSubmitBytes is refused
+// with 413 before it is decoded — even though it is valid JSON — counted
+// as rejected, and creates no job.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	f := &fakeRunner{}
+	_, ts := newTestServer(t, f)
+	body := `{"name": "` + strings.Repeat("x", maxSubmitBytes) + `", "legs": [{}]}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", resp.StatusCode)
+	}
+	if got := metricValue(t, ts, "mpsimd_jobs_rejected_total"); got != 1 {
+		t.Errorf("rejected_total = %v, want 1", got)
+	}
+	if got := metricValue(t, ts, "mpsimd_jobs_submitted_total"); got != 0 {
+		t.Errorf("submitted_total = %v, want 0", got)
+	}
+	lr, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lr.Body.Close()
+	var list struct{ Jobs []JobView }
+	if err := json.NewDecoder(lr.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) != 0 || f.runs.Load() != 0 {
+		t.Fatalf("oversized submit created %d jobs, ran %d legs", len(list.Jobs), f.runs.Load())
+	}
+}
+
 func TestUnknownJob404s(t *testing.T) {
 	_, ts := newTestServer(t, &fakeRunner{})
 	for _, path := range []string{

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -239,6 +240,46 @@ func (k *Kernel) RunUntil(pred func() bool, limit uint64) (uint64, error) {
 		}
 	}
 	return limit, ErrLimit
+}
+
+// ctxChunk is the cycle granularity at which the context-aware run
+// loops check for cancellation. It is a fixed constant, not a knob: the
+// chunk boundary influences how idle spans are split (and thereby the
+// informational span counters, which travel in snapshots), so keeping
+// it constant keeps cancellable runs deterministic. Cycle counts,
+// module stats and all observable state are chunk-invariant — the
+// RunUntil predicate contract guarantees a conforming predicate cannot
+// flip mid-span.
+const ctxChunk = 65536
+
+// RunUntilCtx is RunUntil with cooperative cancellation: it advances
+// toward pred in ctxChunk-cycle slices and returns ctx.Err() at the
+// first slice boundary after cancellation. A nil ctx, or one that can
+// never be canceled, degrades to the plain uninterruptible RunUntil.
+func (k *Kernel) RunUntilCtx(ctx context.Context, pred func() bool, limit uint64) (uint64, error) {
+	if ctx == nil || ctx.Done() == nil {
+		return k.RunUntil(pred, limit)
+	}
+	for done := uint64(0); done < limit; {
+		if err := ctx.Err(); err != nil {
+			return done, err
+		}
+		adv, err := k.RunUntil(pred, min(limit-done, ctxChunk))
+		done += adv
+		if err != ErrLimit {
+			return done, err
+		}
+	}
+	return limit, ErrLimit
+}
+
+// RunCtx is Run with the cancellation of RunUntilCtx.
+func (k *Kernel) RunCtx(ctx context.Context, n uint64) error {
+	_, err := k.RunUntilCtx(ctx, func() bool { return false }, n)
+	if err == ErrLimit {
+		return nil
+	}
+	return err
 }
 
 // RunUntilQuiescent advances the kernel until idle consecutive cycles

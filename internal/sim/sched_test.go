@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -178,6 +179,57 @@ func TestRunUntilEquivalence(t *testing.T) {
 		if want := uint64(3 * 61); n != want || k.Cycle() != want {
 			t.Fatalf("lockstep=%v: stopped after %d cycles at %d, want %d", lockstep, n, k.Cycle(), want)
 		}
+	}
+}
+
+// TestRunUntilCtxMatchesRunUntil: a cancellable run spanning several
+// ctxChunk slices stops at the same cycle with the same module state
+// and stepped/skipped counts as the plain RunUntil (only the
+// informational span count may differ — slices split idle jumps), and
+// RunCtx lands where Run does. A canceled context stops before the
+// first slice.
+func TestRunUntilCtxMatchesRunUntil(t *testing.T) {
+	const period, pulses = 997, 300 // ~4.5 chunks of cycles
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, lockstep := range []bool{true, false} {
+		pk, pp, pw := buildPulseSystem(lockstep, period)
+		ck, cp, cw := buildPulseSystem(lockstep, period)
+		plainN, err := pk.RunUntil(func() bool { return pp.pulses >= pulses }, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctxN, err := ck.RunUntilCtx(ctx, func() bool { return cp.pulses >= pulses }, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plainN <= 2*ctxChunk {
+			t.Fatalf("run of %d cycles does not span several chunks", plainN)
+		}
+		ps, cs := pk.Sched(), ck.Sched()
+		if ctxN != plainN || ck.Cycle() != pk.Cycle() || cp.busy != pp.busy ||
+			len(cw.seen) != len(pw.seen) || ps.Stepped != cs.Stepped || ps.Skipped != cs.Skipped {
+			t.Fatalf("lockstep=%v: ctx run diverged: %d cycles %+v vs plain %d cycles %+v",
+				lockstep, ctxN, cs, plainN, ps)
+		}
+		if err := pk.Run(3*ctxChunk + 5); err != nil {
+			t.Fatal(err)
+		}
+		if err := ck.RunCtx(ctx, 3*ctxChunk+5); err != nil {
+			t.Fatal(err)
+		}
+		if ck.Cycle() != pk.Cycle() || cp.busy != pp.busy || cp.pulses != pp.pulses {
+			t.Fatalf("lockstep=%v: RunCtx landed at %d, Run at %d", lockstep, ck.Cycle(), pk.Cycle())
+		}
+	}
+
+	k, p, _ := buildPulseSystem(false, period)
+	cancel()
+	if n, err := k.RunUntilCtx(ctx, func() bool { return p.pulses >= pulses }, 1<<30); !errors.Is(err, context.Canceled) || n != 0 {
+		t.Fatalf("canceled RunUntilCtx advanced %d cycles, err %v", n, err)
+	}
+	if err := k.RunCtx(ctx, 10); !errors.Is(err, context.Canceled) || k.Cycle() != 0 {
+		t.Fatalf("canceled RunCtx: cycle %d, err %v", k.Cycle(), err)
 	}
 }
 

@@ -230,6 +230,60 @@ fail:
 	return sb.String()
 }
 
+// ISSKernel describes the programs of every ISS on a platform running
+// one of the self-checking kernels: ISS i targets shared memory
+// i mod Memories and offsets its data by its index, so ISSs write
+// distinguishable values.
+type ISSKernel struct {
+	// Name selects the kernel: "gsm" (GSMKernelSource over wrapper
+	// memories) or "sweep" (SweepKernelSource over flat memories).
+	Name            string
+	ISSes, Memories int
+	// Work is the per-ISS GSM frames or sweep iterations.
+	Work int
+	Seed uint32
+}
+
+// sweepWords is the number of words each ISS's sweep covers.
+const sweepWords = 64
+
+// Validate reports whether Source yields a program that can pass for
+// every ISS: a known kernel, and for sweep, written values that fit the
+// byte-wide stores the sweep reads back. ISS i writes seed+16·(i+1)
+// plus the word index, so the largest value is Seed+16·ISSes+63.
+func (k ISSKernel) Validate() error {
+	switch k.Name {
+	case "gsm":
+		return nil
+	case "sweep":
+		if top := uint64(k.Seed) + 16*uint64(k.ISSes) + sweepWords - 1; top > 255 {
+			return fmt.Errorf("sweep seed %d with %d ISSes writes values up to %d; byte-wide readback needs seed+16·isses+63 <= 255",
+				k.Seed, k.ISSes, top)
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown ISS kernel %q (want gsm or sweep)", k.Name)
+}
+
+// Source returns ISS i's program. Sweep ISSs interleave their word
+// ranges — ISS i owns words i, i+n, i+2n, … — so neighbouring ISSs
+// falsely share every cache line.
+func (k ISSKernel) Source(i int) (string, error) {
+	if err := k.Validate(); err != nil {
+		return "", err
+	}
+	if k.Name == "gsm" {
+		return GSMKernelSource(GSMKernelConfig{
+			Frames: k.Work, SM: i % k.Memories, Seed: k.Seed + uint32(i),
+		}), nil
+	}
+	return SweepKernelSource(SweepKernelConfig{
+		Iterations: k.Work, SM: i % k.Memories,
+		Base: 4 * i, Stride: 4 * k.ISSes, Words: sweepWords,
+		Seed: k.Seed + uint32(16*(i+1)),
+	}), nil
+}
+
 // TrafficKernelSource returns assembly performing scalar-only dynamic
 // memory traffic: allocate, write and read back each element, free.
 func TrafficKernelSource(cfg TrafficKernelConfig) string {
